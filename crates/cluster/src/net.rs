@@ -107,8 +107,11 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// seed, the protocol gained the worker↔worker `Constraint` broadcast of
 /// the constraint-driven strategy, and the shutdown `Report` frame grew the
 /// worker's constraint-traffic counters — a v6 peer would mis-parse all
-/// three).
-pub const PROTOCOL_VERSION: u16 = 7;
+/// three;
+/// v8: resident job inputs — the protocol gained `SubmitResident`, a job
+/// frame without examples that runs on the subset the worker kept from the
+/// previous job, which a v7 idle loop would reject).
+pub const PROTOCOL_VERSION: u16 = 8;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a

@@ -16,10 +16,15 @@ use p2mdie_cluster::comm::Endpoint;
 use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{ClusterError, CostModel};
 use p2mdie_ilp::bitset::Bitset;
+use p2mdie_ilp::coverage::evaluate_rule_threads;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::RuleShape;
+use p2mdie_ilp::settings::Settings;
 use p2mdie_logic::clause::Clause;
+use p2mdie_logic::kb::KnowledgeBase;
+use p2mdie_obs::metrics;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// How many candidate clauses one evaluation round ships.
@@ -105,38 +110,65 @@ pub fn run_coverage_parallel_opts(
 
 /// The worker side: evaluate and mark-covered, nothing else. Public so
 /// the remote-worker bootstrap can run the same loop in a worker process.
+///
+/// `kb` is copy-on-write: a resident worker passes its base KB borrowed,
+/// and the loop copies it only at the first `MarkCovered`, whose asserted
+/// rule must die with the job. Coverage queries never write, so they run
+/// on the base KB itself. One-shot runs pass the KB they own.
 pub fn run_baseline_worker<T: Transport>(
     ep: &mut Endpoint<T>,
-    mut engine: IlpEngine,
-    local: Examples,
+    mut kb: Cow<'_, KnowledgeBase>,
+    settings: &Settings,
+    local: &Examples,
 ) {
+    let me = ep.rank();
+    let evaluate = |kb: &KnowledgeBase, rule: &Clause, live: &Bitset| {
+        evaluate_rule_threads(
+            kb,
+            settings.proof,
+            rule,
+            local,
+            Some(live),
+            None,
+            settings.eval_threads,
+        )
+    };
     let mut live = local.full_pos_live();
     loop {
         let msg = Msg::recv(ep, 0, "a baseline master command");
         match msg {
             Msg::KbSnapshot(snap) => {
-                crate::worker::adopt_kb_snapshot(&mut engine, *snap, ep.rank())
+                let syms = kb.symbols().clone();
+                kb = Cow::Owned(
+                    KnowledgeBase::from_snapshot(*snap, syms)
+                        .unwrap_or_else(|e| panic!("rank {me}: rejected KB snapshot: {e}")),
+                );
             }
             Msg::LoadExamples => ep.advance_steps(local.len() as u64),
             Msg::Evaluate { rules } => {
                 let mut counts = Vec::with_capacity(rules.len());
                 for rule in &rules {
-                    let cov = engine.evaluate(rule, &local, Some(&live), None);
+                    let cov = evaluate(&kb, rule, &live);
                     ep.advance_steps(cov.steps);
                     counts.push((cov.pos_count(), cov.neg_count()));
                 }
                 ep.send(0, &Msg::EvalResult { counts });
             }
             Msg::MarkCovered { rule } => {
-                let cov = engine.evaluate(&rule, &local, Some(&live), None);
+                let cov = evaluate(&kb, &rule, &live);
                 ep.advance_steps(cov.steps);
                 let idx: Vec<u32> = cov.pos.iter_ones().map(|i| i as u32).collect();
                 live.difference_with(&cov.pos);
-                engine.assert_rule(rule);
+                if let Cow::Borrowed(_) = kb {
+                    metrics::rank_registry(me)
+                        .counter("worker_kb_copies_total")
+                        .inc();
+                }
+                kb.to_mut().assert_rule(rule);
                 ep.send(0, &Msg::CoveredIdx { pos: idx });
             }
             Msg::Stop => return,
-            other => panic!("baseline worker: unexpected message {other:?}"),
+            other => panic!("baseline worker {me}: unexpected message {other:?}"),
         }
     }
 }

@@ -206,8 +206,9 @@ pub enum JobState {
     /// Accepted into the service queue; not yet on the mesh.
     Queued,
     /// Being shipped to the workers (per-rank
-    /// [`Msg::SubmitJob`](crate::protocol::Msg::SubmitJob) frames out,
-    /// acceptances pending).
+    /// [`Msg::SubmitJob`](crate::protocol::Msg::SubmitJob) frames, or one
+    /// [`Msg::SubmitResident`](crate::protocol::Msg::SubmitResident)
+    /// broadcast, out; acceptances pending).
     Dispatching,
     /// All workers accepted; the job's protocol is running.
     Running,

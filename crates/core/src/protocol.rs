@@ -12,7 +12,9 @@
 //! worker-to-worker [`Msg::Constraint`] broadcast (proven-dead lattice
 //! regions exchanged by the constraint-driven strategy) and the
 //! [`Strategy`] + strategy-seed fields on [`WorkerConfig`], so one
-//! resident mesh can multiplex jobs of different strategies.
+//! resident mesh can multiplex jobs of different strategies. Protocol v8
+//! adds [`Msg::SubmitResident`]: a job frame without examples, for a job
+//! whose inputs the worker already holds from the previous one.
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`] codec, so the traffic statistics reproduce Table 4 exactly as
 //! "bytes that would have crossed the network".
@@ -675,9 +677,11 @@ pub enum Msg {
     /// already-adopted KB. Carries everything that differs between jobs —
     /// role, language bias, settings, and this rank's example subset — and
     /// nothing that doesn't (the compiled KB shipped once at service
-    /// start). The worker clones its pristine base KB, runs the role loop
-    /// until the job's `Stop`, replies [`Msg::JobResult`], and returns to
-    /// idle.
+    /// start). The worker keeps the subset as its resident inputs
+    /// (replacing the previous job's), runs the role loop until the job's
+    /// `Stop`, replies [`Msg::JobResult`], and returns to idle. A coverage
+    /// role reads the base KB in place and copies it at its first write;
+    /// the pipeline and strategy roles run on a clone of it.
     SubmitJob {
         /// Scheduler-assigned job id, echoed on every job-control reply.
         id: u64,
@@ -687,6 +691,17 @@ pub enum Msg {
         pos: Vec<Literal>,
         /// This rank's negative examples for the job.
         neg: Vec<Literal>,
+    },
+    /// Master → *resident* worker (protocol v8): run one job on the example
+    /// subset the previous [`Msg::SubmitJob`] shipped. The scheduler sends
+    /// it only when the job's example set, partition seed and layout equal
+    /// the last dispatched job's, so the kept subset is exactly what a
+    /// `SubmitJob` would carry. Otherwise identical to `SubmitJob`.
+    SubmitResident {
+        /// Scheduler-assigned job id, echoed on every job-control reply.
+        id: u64,
+        /// Per-job worker configuration (same payload as `Configure`).
+        config: Box<WorkerConfig>,
     },
     /// Resident worker → master: job accepted and about to run.
     /// `queue_free` is the rank's remaining job-queue capacity — the
@@ -871,6 +886,11 @@ impl Wire for Msg {
                 epoch.encode(buf);
                 encode_shapes(shapes, buf);
             }
+            Msg::SubmitResident { id, config } => {
+                buf.put_u8(28);
+                id.encode(buf);
+                config.encode(buf);
+            }
         }
     }
 
@@ -953,6 +973,10 @@ impl Wire for Msg {
                 origin: u8::decode(buf)?,
                 epoch: u32::decode(buf)?,
                 shapes: decode_shapes(buf)?,
+            },
+            28 => Msg::SubmitResident {
+                id: u64::decode(buf)?,
+                config: Box::new(WorkerConfig::decode(buf)?),
             },
             _ => return Err(DecodeError::new("message tag")),
         })
@@ -1242,6 +1266,44 @@ mod tests {
         let at = raw.len() - 9;
         raw[at] = 200;
         assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
+    }
+
+    /// The protocol-v8 resident frame round-trips, carries no examples (it
+    /// is smaller than the `SubmitJob` it stands in for), and every prefix
+    /// truncation decode-fails instead of misreading.
+    #[test]
+    fn submit_resident_roundtrips_and_truncation_is_rejected() {
+        let t = SymbolTable::new();
+        let modes = p2mdie_ilp::modes::ModeSet::parse(&t, "active(+mol)", &[(1, "solid")]).unwrap();
+        let config = WorkerConfig {
+            role: WorkerRole::Coverage,
+            modes,
+            settings: Settings::default(),
+            strategy: Strategy::DataPipeline,
+            strategy_seed: 11,
+        };
+        let resident = Msg::SubmitResident {
+            id: 0x0A0B_0C0D,
+            config: Box::new(config.clone()),
+        };
+        roundtrip(resident.clone());
+        let shipped = to_bytes(&Msg::SubmitJob {
+            id: 0x0A0B_0C0D,
+            config: Box::new(config),
+            pos: vec![Literal::new(
+                t.intern("active"),
+                vec![Term::Sym(t.intern("m1"))],
+            )],
+            neg: vec![],
+        });
+        let bytes = to_bytes(&resident);
+        assert!(bytes.len() < shipped.len());
+        for cut in 1..bytes.len() {
+            assert!(
+                from_bytes::<Msg>(bytes.slice(..cut)).is_err(),
+                "cut at {cut} must fail"
+            );
+        }
     }
 
     /// The compiled KB travels as one message and the receiver adopts it

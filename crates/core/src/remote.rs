@@ -31,12 +31,12 @@
 //!
 //! A worker process that receives [`Msg::SubmitJob`] instead of the legacy
 //! `Configure`/`LoadPartition` pair joins a resident service mesh
-//! ([`crate::scheduler::Service::new_tcp`]): it runs the submitted job on
-//! a clone of the adopted KB, then parks in the idle loop awaiting further
-//! jobs. [`run_remote_worker`] reports how the session ended via
-//! [`WorkerExit`] so the `p2mdie-worker` binary can exit with a distinct
-//! code when its master vanished while it sat idle *between* jobs (not a
-//! mid-job failure).
+//! ([`crate::scheduler::Service::new_tcp`]): it runs the submitted job over
+//! the adopted KB, keeps the job's example subset as its resident inputs,
+//! then parks in the idle loop awaiting further jobs. [`run_remote_worker`]
+//! reports how the session ended via [`WorkerExit`] so the `p2mdie-worker`
+//! binary can exit with a distinct code when its master vanished while it
+//! sat idle *between* jobs (not a mid-job failure).
 //!
 //! Entry points: [`run_parallel_tcp`] / [`run_coverage_parallel_tcp`]
 //! spawn the `p2mdie-worker` binary once per rank and drive the master on
@@ -48,7 +48,9 @@ use crate::baselines::{run_baseline_worker, BaselineReport, EvalGranularity};
 use crate::driver::ParallelConfig;
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::report::ParallelReport;
-use crate::scheduler::{one_shot_coverage_tcp, one_shot_parallel_tcp, run_resident_worker};
+use crate::scheduler::{
+    one_shot_coverage_tcp, one_shot_parallel_tcp, run_submitted_job, serve_resident_jobs,
+};
 use crate::strategy::{run_strategy_worker, Strategy, StrategyWorkerContext};
 use crate::worker::{run_worker, WorkerContext};
 use p2mdie_cluster::comm::Endpoint;
@@ -58,6 +60,7 @@ use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
+use std::borrow::Cow;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -211,9 +214,10 @@ pub enum WorkerExit {
 /// - **Legacy one-shot**: `KbSnapshot` + [`Msg::Configure`] +
 ///   [`Msg::LoadPartition`] in any order, then the role's protocol loop
 ///   runs once to `Stop`.
-/// - **Resident**: `KbSnapshot` + [`Msg::SubmitJob`] — the job runs on a
-///   clone of the adopted KB, then the worker parks in the resident idle
-///   loop for further jobs until `Stop` (or an idle disconnect).
+/// - **Resident**: `KbSnapshot` + [`Msg::SubmitJob`] — the job runs over
+///   the adopted KB, then the worker parks in the resident idle loop for
+///   further jobs until `Stop` (or an idle disconnect), keeping the first
+///   job's subset for a following [`Msg::SubmitResident`].
 ///
 /// The KB snapshot restores into a **fresh** symbol table before anything
 /// else is interned, which reproduces the master's symbol ids exactly (the
@@ -246,8 +250,10 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
                 });
                 let mut base = KnowledgeBase::from_snapshot(snap, SymbolTable::new())
                     .unwrap_or_else(|e| panic!("rank {me}: rejected KB snapshot: {e}"));
-                crate::scheduler::run_submitted_job(ep, &base, id, *config, pos, neg);
-                return run_resident_worker(ep, &mut base);
+                // The first job's subset stays resident for the next job.
+                let local = Examples::new(pos, neg);
+                run_submitted_job(ep, &base, id, *config, &local);
+                return serve_resident_jobs(ep, &mut base, Some(local));
             }
             Msg::CancelJob { .. } => {} // advisory; nothing queued here yet
             Msg::Stop => return WorkerExit::Finished,
@@ -268,6 +274,9 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
         settings: config.settings,
     };
     match config.role {
+        WorkerRole::Coverage => {
+            run_baseline_worker(ep, Cow::Owned(engine.kb), &engine.settings, &local)
+        }
         WorkerRole::Pipeline { width, repartition } => {
             if config.strategy != Strategy::DataPipeline {
                 // Non-default strategies replicate the full example set;
@@ -289,7 +298,6 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
                 run_worker(ep, ctx);
             }
         }
-        WorkerRole::Coverage => run_baseline_worker(ep, engine, local),
     }
     WorkerExit::Finished
 }

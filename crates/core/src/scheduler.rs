@@ -16,12 +16,37 @@
 //! receives a `SubmitJob` instead of the legacy `Configure` bootstrap
 //! switches into the identical resident loop.
 //!
-//! Every worker runs each job on a **pristine clone** of the resident KB:
-//! accepted rules assert into the job's copy and vanish with it, so
-//! concurrent clients cannot contaminate each other's background theory —
-//! the property the differential tests in `crates/core/tests/service.rs`
-//! pin (any interleaving of submissions is bit-identical to each job run
-//! alone on a fresh mesh).
+//! # Job inputs: shipped or resident
+//!
+//! Like the paper's workers, which keep their example subset for a whole
+//! run, a resident worker keeps the last subset it was shipped. The
+//! scheduler remembers the example set, partition seed and layout
+//! (partitioned, replicated, or empty) of the last job it dispatched:
+//!
+//! - **Shipped** — the job differs in any of the three: the scheduler
+//!   partitions the set and sends each rank a `SubmitJob` with its subset,
+//!   which replaces the rank's resident one.
+//! - **Resident** — the job matches all three exactly: the scheduler skips
+//!   the partitioning and broadcasts a [`Msg::SubmitResident`] carrying only
+//!   the job id and its `WorkerConfig`; each rank runs on the subset it
+//!   kept. The two paths dispatch the same subsets, so results are the
+//!   same; only the bytes on the wire differ.
+//!
+//! `scheduler_job_inputs_total{path="shipped"|"resident"}` on rank 0
+//! counts which path each job took.
+//!
+//! # The base KB: read in place, copied on first write
+//!
+//! No job may change the resident KB: accepted rules die with their job,
+//! so concurrent clients cannot contaminate each other's background
+//! theory — the property the differential tests in
+//! `crates/core/tests/service.rs` pin (any interleaving of submissions is
+//! bit-identical to each job run alone on a fresh mesh). The coverage role
+//! (coverage queries and baseline-learn jobs) borrows the base KB and
+//! copies it only at its first `MarkCovered`: a coverage query never
+//! copies it, and a baseline-learn job copies it once per rank, counted by
+//! the worker's `worker_kb_copies_total`. Learning and rule-search jobs
+//! run on a clone of the base KB taken when the job starts.
 //!
 //! # Queuing and fairness
 //!
@@ -87,7 +112,7 @@ use crate::job::{
 use crate::master::{
     evaluate_bag, run_master, run_master_recovering, run_master_repartition, ship_kb,
 };
-use crate::partition::partition_examples;
+use crate::partition::{partition_examples, Partition};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{bootstrap_workers, spawn_worker, TcpConfig, WorkerExit};
 use crate::report::{JobAccounting, ParallelReport};
@@ -103,10 +128,12 @@ use p2mdie_cluster::{
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Settings;
-use p2mdie_logic::clause::{Clause, Literal};
+use p2mdie_logic::clause::Clause;
 use p2mdie_logic::kb::KnowledgeBase;
+use p2mdie_obs::metrics::{Counter, Gauge, Registry};
 use p2mdie_obs::{event, metrics, MetricEntry, MetricValue, MetricsSnapshot};
-use std::collections::{HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
@@ -438,7 +465,8 @@ fn scheduler_master<T: Transport>(
     if ship {
         ship_kb(ep, &engine.kb);
     }
-    let registry = metrics::rank_registry(ep.rank());
+    let mut sched = SchedulerMetrics::new(metrics::rank_registry(ep.rank()));
+    let mut inputs: Option<ResidentInputs> = None;
     let mut queues: Vec<VecDeque<QueuedJob>> = (0..JOB_CLASSES).map(|_| VecDeque::new()).collect();
     let mut next_class = 0usize;
     let mut jobs_run = 0u32;
@@ -478,11 +506,8 @@ fn scheduler_master<T: Transport>(
                         job = job.id.0,
                         state = "queued",
                     );
-                    registry
-                        .counter(&format!(
-                            "scheduler_jobs_submitted_total{{class=\"{}\"}}",
-                            CLASS_NAMES[job.spec.kind.class()]
-                        ))
+                    sched
+                        .per_class("scheduler_jobs_submitted_total", job.spec.kind.class())
                         .inc();
                     queues[job.spec.kind.class()].push_back(job);
                 }
@@ -498,17 +523,7 @@ fn scheduler_master<T: Transport>(
 
         // Class-fairness introspection: depth per class plus the total,
         // sampled every time the scheduler picks its next job.
-        for (c, q) in queues.iter().enumerate() {
-            registry
-                .gauge(&format!(
-                    "scheduler_queue_depth{{class=\"{}\"}}",
-                    CLASS_NAMES[c]
-                ))
-                .set(q.len() as f64);
-        }
-        registry
-            .gauge("scheduler_queue_depth")
-            .set(queues.iter().map(VecDeque::len).sum::<usize>() as f64);
+        sched.sample_depths(&queues);
 
         // FIFO within a class, round-robin across non-empty classes.
         let class = (0..JOB_CLASSES)
@@ -526,7 +541,7 @@ fn scheduler_master<T: Transport>(
             // Nothing was dispatched; tell the (idle) workers anyway so the
             // advisory frame is exercised end to end.
             ep.broadcast(&Msg::CancelJob { id: job.id.0 });
-            registry.counter("scheduler_jobs_cancelled_total").inc();
+            sched.cancelled().inc();
             let mut lifecycle = Lifecycle::new(job.id);
             lifecycle.advance(JobState::Failed);
             event!(
@@ -545,13 +560,10 @@ fn scheduler_master<T: Transport>(
             }
         } else {
             jobs_run += 1;
-            registry
-                .counter(&format!(
-                    "scheduler_jobs_dispatched_total{{class=\"{}\"}}",
-                    CLASS_NAMES[class]
-                ))
+            sched
+                .per_class("scheduler_jobs_dispatched_total", class)
                 .inc();
-            let outcome = dispatch_job(ep, engine, job.id, &job.spec);
+            let outcome = dispatch_job(ep, engine, job.id, job.spec, &mut inputs, &sched);
             // A cancel that raced the running job arrived too late to stop
             // it — the job completed legally. Consume the mark (so it can
             // never leak onto a later dequeue pass) and still broadcast the
@@ -574,6 +586,90 @@ fn scheduler_master<T: Transport>(
     let dump = collect_worker_metrics(ep);
     ep.broadcast(&Msg::Stop);
     (jobs_run, dump)
+}
+
+/// Rank 0's scheduler metrics, resolved once per service instead of once
+/// per job. A per-class handle registers on first use, so the dump lists
+/// the same names, with the same values, as a registry lookup per job did.
+struct SchedulerMetrics {
+    registry: Registry,
+    per_class: BTreeMap<(&'static str, usize), Counter>,
+    depth: Option<([Gauge; JOB_CLASSES], Gauge)>,
+    cancelled: Option<Counter>,
+    /// `scheduler_job_inputs_total{path="shipped"}`: jobs whose example
+    /// subsets travelled in their `SubmitJob` frames.
+    shipped: Counter,
+    /// `scheduler_job_inputs_total{path="resident"}`: jobs that ran on the
+    /// subsets the workers kept from the previous job.
+    resident: Counter,
+}
+
+impl SchedulerMetrics {
+    fn new(registry: Registry) -> Self {
+        SchedulerMetrics {
+            shipped: registry.counter("scheduler_job_inputs_total{path=\"shipped\"}"),
+            resident: registry.counter("scheduler_job_inputs_total{path=\"resident\"}"),
+            registry,
+            per_class: BTreeMap::new(),
+            depth: None,
+            cancelled: None,
+        }
+    }
+
+    /// The counter `family{class="…"}`.
+    fn per_class(&mut self, family: &'static str, class: usize) -> &Counter {
+        let registry = &self.registry;
+        self.per_class.entry((family, class)).or_insert_with(|| {
+            registry.counter(&format!("{family}{{class=\"{}\"}}", CLASS_NAMES[class]))
+        })
+    }
+
+    fn cancelled(&mut self) -> &Counter {
+        let registry = &self.registry;
+        self.cancelled
+            .get_or_insert_with(|| registry.counter("scheduler_jobs_cancelled_total"))
+    }
+
+    /// Sets the per-class and total queue-depth gauges.
+    fn sample_depths(&mut self, queues: &[VecDeque<QueuedJob>]) {
+        let registry = &self.registry;
+        let (per_class, total) = self.depth.get_or_insert_with(|| {
+            (
+                std::array::from_fn(|c| {
+                    registry.gauge(&format!(
+                        "scheduler_queue_depth{{class=\"{}\"}}",
+                        CLASS_NAMES[c]
+                    ))
+                }),
+                registry.gauge("scheduler_queue_depth"),
+            )
+        });
+        for (gauge, q) in per_class.iter().zip(queues) {
+            gauge.set(q.len() as f64);
+        }
+        total.set(queues.iter().map(VecDeque::len).sum::<usize>() as f64);
+    }
+}
+
+/// How a job's examples are laid out over the workers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    /// `partition_examples` deals disjoint subsets (data-pipeline jobs).
+    Partitioned,
+    /// Every rank holds the full set (non-default strategies).
+    Replicated,
+    /// Every rank starts empty; the master deals per epoch (§4.1).
+    Empty,
+}
+
+/// The inputs the resident workers hold: the last dispatched job's example
+/// set, partition seed and layout, plus the master's partition map of it.
+/// A job that matches all three runs on the subsets already there.
+struct ResidentInputs {
+    examples: Examples,
+    seed: u64,
+    layout: Layout,
+    partition: Option<Partition>,
 }
 
 /// One introspection round: broadcast [`Msg::MetricsQuery`] to every
@@ -630,15 +726,19 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>) -> MetricsSnapshot {
     MetricsSnapshot::from_entries(entries)
 }
 
-/// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`],
-/// gather acceptances, run the kind's master protocol (which ends with the
-/// job's own `Stop`, returning every worker to the idle loop), drain the
-/// [`Msg::JobResult`]s, and account the deltas.
+/// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`] (or a
+/// [`Msg::SubmitResident`] broadcast when `inputs` already matches the
+/// job), gather acceptances, run the kind's master protocol (which ends
+/// with the job's own `Stop`, returning every worker to the idle loop),
+/// drain the [`Msg::JobResult`]s, and account the deltas. The job's
+/// example set moves into `inputs` for the next job to match.
 fn dispatch_job<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
     id: JobId,
-    spec: &JobSpec,
+    spec: JobSpec,
+    inputs: &mut Option<ResidentInputs>,
+    sched: &SchedulerMetrics,
 ) -> JobOutcome {
     let p = ep.workers();
     let mut job = Lifecycle::new(id);
@@ -667,14 +767,12 @@ fn dispatch_job<T: Transport>(
         JobKind::Learn => spec.strategy,
         _ => Strategy::DataPipeline,
     };
-    let (subsets, partition) = if strategy != Strategy::DataPipeline {
-        // Non-default strategies replicate the full example set per rank.
-        (vec![spec.examples.clone(); p], None)
+    let layout = if strategy != Strategy::DataPipeline {
+        Layout::Replicated
     } else if spec.repartition {
-        (vec![Examples::default(); p], None)
+        Layout::Empty
     } else {
-        let (subsets, part) = partition_examples(&spec.examples, p, spec.seed);
-        (subsets, Some(part))
+        Layout::Partitioned
     };
     let mut worker_settings = settings.clone();
     worker_settings.eval_threads = threads_per_worker(settings.eval_threads, p);
@@ -685,23 +783,59 @@ fn dispatch_job<T: Transport>(
             repartition: spec.repartition,
         },
     };
-    for (i, subset) in subsets.iter().enumerate() {
-        ep.send(
-            i + 1,
-            &Msg::SubmitJob {
-                id: id.0,
-                config: Box::new(WorkerConfig {
-                    role: role.clone(),
-                    modes: engine.modes.clone(),
-                    settings: worker_settings.clone(),
-                    strategy,
-                    strategy_seed: spec.seed,
-                }),
-                pos: subset.pos.clone(),
-                neg: subset.neg.clone(),
-            },
-        );
+    let config = WorkerConfig {
+        role,
+        modes: engine.modes.clone(),
+        settings: worker_settings,
+        strategy,
+        strategy_seed: spec.seed,
+    };
+    let hit = inputs.as_ref().is_some_and(|kept| {
+        kept.layout == layout && kept.seed == spec.seed && kept.examples == spec.examples
+    });
+    if hit {
+        // The workers already hold exactly the subsets this job needs.
+        sched.resident.inc();
+        ep.broadcast(&Msg::SubmitResident {
+            id: id.0,
+            config: Box::new(config),
+        });
+        // The job's example set becomes the resident one: moved, not
+        // copied. Dropping the previous, equal set here overlaps the
+        // workers' turnaround and ends before the caller's next job.
+        if let Some(kept) = inputs.as_mut() {
+            kept.examples = spec.examples;
+        }
+    } else {
+        sched.shipped.inc();
+        let (subsets, partition) = match layout {
+            Layout::Replicated => (vec![spec.examples.clone(); p], None),
+            Layout::Empty => (vec![Examples::default(); p], None),
+            Layout::Partitioned => {
+                let (subsets, part) = partition_examples(&spec.examples, p, spec.seed);
+                (subsets, Some(part))
+            }
+        };
+        for (i, subset) in subsets.into_iter().enumerate() {
+            ep.send(
+                i + 1,
+                &Msg::SubmitJob {
+                    id: id.0,
+                    config: Box::new(config.clone()),
+                    pos: subset.pos,
+                    neg: subset.neg,
+                },
+            );
+        }
+        *inputs = Some(ResidentInputs {
+            examples: spec.examples,
+            seed: spec.seed,
+            layout,
+            partition,
+        });
     }
+    let kept = inputs.as_ref().expect("both paths fill the slot");
+    let (examples, partition) = (&kept.examples, kept.partition.as_ref());
     for k in 1..=p {
         let msg = Msg::recv(ep, k, "a JobAccepted");
         let Msg::JobAccepted {
@@ -734,16 +868,14 @@ fn dispatch_job<T: Transport>(
         }
         JobKind::RuleSearch => JobOutput::Rules(rule_search_master(ep, &settings)),
         JobKind::Learn => JobOutput::Learned(if strategy != Strategy::DataPipeline {
-            run_strategy_master(ep, &settings, spec.examples.num_pos())
+            run_strategy_master(ep, &settings, examples.num_pos())
         } else if spec.repartition {
-            run_master_repartition(ep, &settings, &spec.examples, spec.seed)
+            run_master_repartition(ep, &settings, examples, spec.seed)
         } else {
-            run_master(ep, &settings, spec.examples.num_pos())
+            run_master(ep, &settings, examples.num_pos())
         }),
         JobKind::BaselineLearn { granularity } => {
-            let partition = partition
-                .as_ref()
-                .expect("baseline jobs partition statically");
+            let partition = partition.expect("baseline jobs partition statically");
             // `baseline_master` saturates and refines master-side with the
             // job's settings; rebuild the engine only when overridden.
             let holder;
@@ -758,7 +890,7 @@ fn dispatch_job<T: Transport>(
                 engine
             };
             let (theory, epochs, set_aside) =
-                baseline_master(ep, master_engine, &spec.examples, partition, *granularity);
+                baseline_master(ep, master_engine, examples, partition, *granularity);
             JobOutput::BaselineLearned {
                 theory,
                 epochs,
@@ -847,16 +979,30 @@ fn rule_search_master<T: Transport>(
 }
 
 /// The resident worker's idle loop: park between jobs with the adopted KB
-/// loaded, run each [`Msg::SubmitJob`] on a pristine clone of it, return
-/// to idle. `Stop` *at idle* is mesh shutdown (inside a job it merely ends
-/// the job — the nested role loop consumes it); a closed master link at
-/// idle is the [`WorkerExit::IdleDisconnect`] the worker binary maps to
-/// its distinct exit code.
+/// loaded, run each [`Msg::SubmitJob`] or [`Msg::SubmitResident`] against
+/// it (see [`run_submitted_job`]), return to idle. `Stop` *at idle* is mesh
+/// shutdown (inside a job it merely ends the job — the nested role loop
+/// consumes it); a closed master link at idle is the
+/// [`WorkerExit::IdleDisconnect`] the worker binary maps to its distinct
+/// exit code.
 pub(crate) fn run_resident_worker<T: Transport>(
     ep: &mut Endpoint<T>,
     base: &mut KnowledgeBase,
 ) -> WorkerExit {
+    serve_resident_jobs(ep, base, None)
+}
+
+/// [`run_resident_worker`] for a worker that already holds inputs: the
+/// remote bootstrap delivers the first job's subset before the idle loop
+/// starts, and a later [`Msg::SubmitResident`] runs on it.
+pub(crate) fn serve_resident_jobs<T: Transport>(
+    ep: &mut Endpoint<T>,
+    base: &mut KnowledgeBase,
+    mut resident: Option<Examples>,
+) -> WorkerExit {
     let me = ep.rank();
+    // Registered up front so every dump shows it, copies or not.
+    metrics::rank_registry(me).counter("worker_kb_copies_total");
     loop {
         let bytes = match ep.recv_from(0) {
             Ok(bytes) => bytes,
@@ -890,7 +1036,16 @@ pub(crate) fn run_resident_worker<T: Transport>(
                 config,
                 pos,
                 neg,
-            } => run_submitted_job(ep, base, id, *config, pos, neg),
+            } => {
+                let local = resident.insert(Examples::new(pos, neg));
+                run_submitted_job(ep, base, id, *config, local);
+            }
+            Msg::SubmitResident { id, config } => {
+                let local = resident.as_ref().unwrap_or_else(|| {
+                    panic!("worker {me}: resident job {id} before any examples were shipped")
+                });
+                run_submitted_job(ep, base, id, *config, local);
+            }
             // Advisory: the cancelled job never reached this rank.
             Msg::CancelJob { .. } => {}
             // Introspection: always answered, even with sampling and
@@ -907,48 +1062,49 @@ pub(crate) fn run_resident_worker<T: Transport>(
 }
 
 /// One job on a resident worker: accept, run the role's legacy protocol
-/// loop on a pristine KB clone until the job's `Stop`, report the step
-/// delta. Crate-visible so the remote bootstrap can run the job that
-/// switched it into resident mode.
+/// loop until the job's `Stop`, report the step delta. The coverage role
+/// reads `base` in place and copies it only at its first `MarkCovered`
+/// (whose asserted rule must die with the job), so a coverage query never
+/// copies the KB. The pipeline and strategy roles assert rules as they
+/// learn and run on a clone of `base` and of `local`. Crate-visible so the
+/// remote bootstrap can run the job that switched it into resident mode.
 pub(crate) fn run_submitted_job<T: Transport>(
     ep: &mut Endpoint<T>,
     base: &KnowledgeBase,
     id: u64,
     config: WorkerConfig,
-    pos: Vec<Literal>,
-    neg: Vec<Literal>,
+    local: &Examples,
 ) {
     ep.send(0, &Msg::JobAccepted { id, queue_free: 0 });
     let steps0 = ep.compute_steps();
-    // A pristine clone per job: `MarkCovered` asserts accepted rules into
-    // the engine's KB, and those must die with the job.
-    let engine = IlpEngine {
-        kb: base.clone(),
-        modes: config.modes,
-        settings: config.settings,
-    };
-    let local = Examples::new(pos, neg);
     match config.role {
         WorkerRole::Pipeline { width, repartition } => {
+            let engine = IlpEngine {
+                kb: base.clone(),
+                modes: config.modes,
+                settings: config.settings,
+            };
             if config.strategy != Strategy::DataPipeline {
                 // Strategy jobs replicate: `local` is the full example set.
                 run_strategy_worker(
                     ep,
                     StrategyWorkerContext::new(
                         engine,
-                        local,
+                        local.clone(),
                         width,
                         config.strategy,
                         config.strategy_seed,
                     ),
                 );
             } else {
-                let mut ctx = WorkerContext::new(engine, local, width);
+                let mut ctx = WorkerContext::new(engine, local.clone(), width);
                 ctx.repartition = repartition;
                 run_worker(ep, ctx);
             }
         }
-        WorkerRole::Coverage => run_baseline_worker(ep, engine, local),
+        WorkerRole::Coverage => {
+            run_baseline_worker(ep, Cow::Borrowed(base), &config.settings, local)
+        }
     }
     ep.send(
         0,
@@ -1191,7 +1347,7 @@ pub(crate) fn one_shot_coverage(
                 })
                 .take()
                 .expect("taken once");
-            run_baseline_worker(ep, eng, local);
+            run_baseline_worker(ep, Cow::Owned(eng.kb), &eng.settings, &local);
         },
     );
     let outcome = match run {
@@ -1658,6 +1814,46 @@ mod tests {
             WorkerExit::IdleDisconnect,
             "an idle worker must classify a vanished master as IdleDisconnect"
         );
+    }
+
+    /// A resident job sent to an idle worker that was never shipped any
+    /// examples fails the run with the worker's rank, not a hang.
+    #[test]
+    fn resident_job_without_shipped_inputs_fails_rank_tagged() {
+        let (engine, _ex) = problem(30);
+        let base = Mutex::new(Some(engine.kb.clone()));
+        let err = run_cluster(
+            1,
+            CostModel::free(),
+            |ep| {
+                ep.send(
+                    1,
+                    &Msg::SubmitResident {
+                        id: 3,
+                        config: Box::new(WorkerConfig {
+                            role: WorkerRole::Coverage,
+                            modes: engine.modes.clone(),
+                            settings: engine.settings.clone(),
+                            strategy: Strategy::DataPipeline,
+                            strategy_seed: 0,
+                        }),
+                    },
+                );
+                while ep.recv_from(1).is_ok() {}
+            },
+            |ep| {
+                let mut kb = base.lock().unwrap().take().expect("one worker");
+                run_resident_worker(ep, &mut kb);
+            },
+        )
+        .unwrap_err();
+        match &err {
+            ClusterError::WorkerPanicked { rank, message } => {
+                assert_eq!(*rank, 1, "{err}");
+                assert!(message.contains("worker 1: resident job 3"), "{err}");
+            }
+            other => panic!("expected a panic tagged with rank 1, got {other}"),
+        }
     }
 
     #[test]

@@ -75,8 +75,7 @@ impl WorkerContext {
 /// fact-argument re-interning, no posting-list rebuild, no rule recompile —
 /// the transfer time was already merged into the rank's clock by the
 /// receive, and adoption is the near-instant structural validation inside
-/// `from_snapshot`. Shared by the p²-mdie worker and the coverage-parallel
-/// baseline worker.
+/// `from_snapshot`. Shared by the p²-mdie worker and the strategy worker.
 pub fn adopt_kb_snapshot(engine: &mut IlpEngine, snap: p2mdie_logic::KbSnapshot, rank: usize) {
     let syms = engine.kb.symbols().clone();
     engine.kb = p2mdie_logic::kb::KnowledgeBase::from_snapshot(snap, syms)

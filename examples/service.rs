@@ -5,17 +5,23 @@
 //! after that ships only its job description (examples, settings, rules to
 //! score). Here two coverage queries and a full learning run are submitted
 //! concurrently over one standing two-worker mesh; the mesh multiplexes
-//! them back to back, each on a pristine clone of the resident KB, and the
-//! service report shows the one-time KB ship amortized across all three.
+//! them back to back, and no job's accepted rules reach the resident KB.
+//! A client then re-scores the theory one query at a time: each query
+//! whose inputs match the previous job's runs on the example subsets the
+//! workers kept, so only the rules travel. The closing counters show
+//! which path each job's inputs took (`shipped` or `resident`) and how
+//! often a worker copied the KB (only a baseline-learn job writes to it).
 //!
 //! ```sh
 //! cargo run --release --example service
 //! ```
 
+use p2mdie::core::baselines::EvalGranularity;
 use p2mdie::core::driver::{run_parallel, ParallelConfig};
 use p2mdie::core::job::{JobSpec, JobState};
 use p2mdie::core::scheduler::{Service, ServiceConfig};
 use p2mdie::ilp::settings::Width;
+use p2mdie::obs::{metrics, MetricEntry, MetricsSnapshot};
 
 fn main() {
     let ds = p2mdie::datasets::trains(20, 5);
@@ -118,6 +124,44 @@ fn main() {
     );
     println!("  identical to the fresh-mesh one-shot run with the same seed\n");
 
+    // A closed-loop client: the whole theory, then each rule alone, one
+    // query at a time over the same examples. A query whose examples and
+    // partition seed match the previous job's finds its inputs resident
+    // and ships only its rules; one after the learning run (seed 5, not
+    // the default 42) ships the example subsets again.
+    let queries: Vec<Vec<_>> = std::iter::once(rules.clone())
+        .chain(rules.iter().map(|r| vec![r.clone()]))
+        .collect();
+    for query in &queries {
+        let outcome = service
+            .submit(JobSpec::coverage(ds.examples.clone(), query.clone()))
+            .expect("submit coverage")
+            .wait();
+        assert_eq!(outcome.state, JobState::Done, "{:?}", outcome.error);
+        println!(
+            "{} — {} rule(s) re-scored  [{} B / {} msgs]",
+            outcome.id,
+            query.len(),
+            outcome.accounting.bytes,
+            outcome.accounting.messages
+        );
+    }
+    // A baseline-learn job on the same inputs writes accepted rules: each
+    // worker copies the resident KB at its first write, and the copy dies
+    // with the job.
+    let outcome = service
+        .submit(JobSpec::baseline(
+            ds.examples.clone(),
+            EvalGranularity::PerLevel,
+        ))
+        .expect("submit baseline")
+        .wait();
+    assert_eq!(outcome.state, JobState::Done, "{:?}", outcome.error);
+    println!(
+        "{} — baseline-learn run on the resident inputs\n",
+        outcome.id
+    );
+
     let report = service.shutdown().expect("clean shutdown");
     let job_bytes: u64 = report.total_bytes;
     println!(
@@ -129,4 +173,19 @@ fn main() {
         report.master_vtime,
         report.dropped_sends
     );
+    let inputs: Vec<MetricEntry> = metrics::rank_registry(0)
+        .snapshot()
+        .entries
+        .into_iter()
+        .filter(|e| e.name.starts_with("scheduler_job_inputs_total"))
+        .collect();
+    println!("\njob inputs (rank 0):");
+    print!("{}", MetricsSnapshot::from_entries(inputs).prometheus());
+    for (i, snap) in report.worker_metrics.iter().enumerate() {
+        println!(
+            "worker {}: worker_kb_copies_total {}",
+            i + 1,
+            snap.counter("worker_kb_copies_total")
+        );
+    }
 }
